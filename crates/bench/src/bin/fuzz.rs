@@ -12,7 +12,7 @@
 //! ```
 //!
 //! `run` generates seeded random circuits (see `dacpara_fuzz::gen`) and
-//! sweeps each through the engine × scheduler × thread matrix, cross-checked
+//! sweeps each through the engine × thread-count matrix, cross-checked
 //! with budgeted CEC and the structural invariant checker. On the first
 //! failure it delta-debugs the circuit down to a minimal witness and writes
 //! a replayable corpus entry (default `fuzz/corpus/`). Exit code 1 means a

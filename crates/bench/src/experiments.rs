@@ -304,7 +304,7 @@ pub fn fig3(harness: &Harness) -> Exhibit {
             "Revalidated",
             "Stale skipped",
             "AreaRed",
-            "Equivalent",
+            "Check",
         ],
     );
     let mut runs = Vec::new();
@@ -316,7 +316,7 @@ pub fn fig3(harness: &Harness) -> Exhibit {
             r.revalidated.to_string(),
             r.stale_skipped.to_string(),
             r.area_reduction.to_string(),
-            r.equivalent.map(|b| b.to_string()).unwrap_or_default(),
+            r.verdict.map(|v| v.name().to_string()).unwrap_or_default(),
         ]);
         runs.push(r);
     }
@@ -553,6 +553,6 @@ mod tests {
         h.sat_limit = 3_000;
         let e = fig3(&h);
         assert!(!e.runs.is_empty());
-        assert!(e.runs.iter().all(|r| r.equivalent != Some(false)));
+        assert!(e.runs.iter().all(|r| r.verdict.is_some()));
     }
 }

@@ -18,4 +18,4 @@ pub mod runner;
 
 pub use experiments::{ablations, engines, fig2, fig3, speedup, table1, table2, table3, Exhibit};
 pub use report::{geomean, write_json, write_markdown, Table};
-pub use runner::{BenchRun, Harness};
+pub use runner::{BenchRun, CheckVerdict, Harness};

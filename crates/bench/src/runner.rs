@@ -8,6 +8,32 @@ use dacpara_circuits::{Benchmark, Scale};
 use dacpara_equiv::{check_equivalence, random_sim_check, CecConfig, CecResult, SimOutcome};
 use dacpara_obs::json::{Json, ToJson};
 
+/// How a run's equivalence check ended. An inequivalent result is never a
+/// verdict: the harness panics instead.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum CheckVerdict {
+    /// SAT proved the rewritten graph equivalent.
+    Proven,
+    /// Random simulation found no difference, but the SAT budget ran out
+    /// before a proof.
+    Undecided,
+    /// Only random simulation ran: the pair is above the harness's
+    /// `sat_limit`.
+    SimOnly,
+}
+
+impl CheckVerdict {
+    /// Short name used in reports and JSON (`proven`, `undecided`,
+    /// `sim-only`).
+    pub fn name(self) -> &'static str {
+        match self {
+            CheckVerdict::Proven => "proven",
+            CheckVerdict::Undecided => "undecided",
+            CheckVerdict::SimOnly => "sim-only",
+        }
+    }
+}
+
 /// One engine × benchmark measurement.
 #[derive(Clone, Debug)]
 pub struct BenchRun {
@@ -40,7 +66,7 @@ pub struct BenchRun {
     /// Fraction of operator time wasted by aborts.
     pub wasted_fraction: f64,
     /// Equivalence check verdict (`None` = skipped).
-    pub equivalent: Option<bool>,
+    pub verdict: Option<CheckVerdict>,
 }
 
 impl ToJson for BenchRun {
@@ -60,7 +86,7 @@ impl ToJson for BenchRun {
             ("conflicts", self.conflicts.to_json()),
             ("aborts", self.aborts.to_json()),
             ("wasted_fraction", self.wasted_fraction.to_json()),
-            ("equivalent", self.equivalent.to_json()),
+            ("verdict", self.verdict.map(CheckVerdict::name).to_json()),
         ])
     }
 }
@@ -120,11 +146,9 @@ impl Harness {
         let stats = last_stats.expect("at least one repeat");
         let rewritten = last_aig.expect("at least one repeat");
 
-        let equivalent = if self.check {
-            Some(self.check_equivalence(&bench.aig, &rewritten, &bench.name, engine))
-        } else {
-            None
-        };
+        let verdict = self
+            .check
+            .then(|| self.check_equivalence(&bench.aig, &rewritten, &bench.name, engine));
 
         BenchRun {
             benchmark: bench.name.clone(),
@@ -141,28 +165,34 @@ impl Harness {
             conflicts: stats.spec.conflicts,
             aborts: stats.spec.aborts,
             wasted_fraction: stats.spec.wasted_fraction(),
-            equivalent,
+            verdict,
         }
     }
 
-    fn check_equivalence(&self, golden: &Aig, rewritten: &Aig, name: &str, engine: Engine) -> bool {
+    fn check_equivalence(
+        &self,
+        golden: &Aig,
+        rewritten: &Aig,
+        name: &str,
+        engine: Engine,
+    ) -> CheckVerdict {
         if golden.num_ands() + rewritten.num_ands() <= self.sat_limit {
-            // Bounded SAT: a counterexample is definitive; Undecided falls
-            // back on the (already passed) random simulation.
+            // Bounded SAT: a counterexample is definitive; Undecided means
+            // the budget ran out after the random simulation passed.
             let cec = CecConfig {
                 max_conflicts: 50_000,
                 ..CecConfig::default()
             };
             match check_equivalence(golden, rewritten, &cec) {
-                CecResult::Equivalent => true,
-                CecResult::Undecided => true, // budget ran out; sim passed
+                CecResult::Equivalent => CheckVerdict::Proven,
+                CecResult::Undecided => CheckVerdict::Undecided,
                 CecResult::Inequivalent(_) => {
                     panic!("{engine} produced a non-equivalent {name}")
                 }
             }
         } else {
             match random_sim_check(golden, rewritten, 32, 0xDAC) {
-                SimOutcome::NoDifferenceFound => true,
+                SimOutcome::NoDifferenceFound => CheckVerdict::SimOnly,
                 SimOutcome::Counterexample(_) => {
                     panic!("{engine} produced a non-equivalent {name}")
                 }
@@ -189,7 +219,7 @@ mod tests {
         let cfg = RewriteConfig::rewrite_op().with_threads(2);
         let run = harness.run_one(&suite[0], Engine::DacPara, &cfg);
         assert_eq!(run.engine, "dacpara");
-        assert_eq!(run.equivalent, Some(true));
+        assert_eq!(run.verdict, Some(CheckVerdict::Proven));
         assert!(run.area_after <= run.area_before);
     }
 }

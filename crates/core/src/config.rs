@@ -44,67 +44,6 @@ impl From<ConfigError> for AigError {
     }
 }
 
-/// How the parallel engines distribute worklist items across workers.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// The historical shared-cursor scheme: workers grab fixed-size chunks
-    /// from one [`dacpara_galois::WorkQueue`]; a commit that keeps hitting
-    /// lock conflicts spin-retries inline, pinning its worker.
-    Barrier,
-    /// Work stealing ([`dacpara_galois::StealPool`]): per-worker Chase-Lev
-    /// deques with adaptive range splitting, plus a per-worker conflict
-    /// retry queue — an aborted commit is re-enqueued with backoff and
-    /// retried within the same pass while the worker does other work.
-    #[default]
-    Steal,
-}
-
-impl SchedulerKind {
-    /// Short name used in reports and by the CLI (`barrier` | `steal`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Barrier => "barrier",
-            SchedulerKind::Steal => "steal",
-        }
-    }
-}
-
-impl std::fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A scheduler name [`SchedulerKind::from_str`] did not recognize.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseSchedulerError {
-    input: String,
-}
-
-impl std::fmt::Display for ParseSchedulerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown scheduler {:?} (expected `barrier` or `steal`)",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseSchedulerError {}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = ParseSchedulerError;
-
-    fn from_str(s: &str) -> Result<SchedulerKind, ParseSchedulerError> {
-        match s {
-            "barrier" => Ok(SchedulerKind::Barrier),
-            "steal" => Ok(SchedulerKind::Steal),
-            _ => Err(ParseSchedulerError { input: s.into() }),
-        }
-    }
-}
-
 /// Parameters of a rewriting pass.
 ///
 /// The paper's experimental configurations map onto this struct:
@@ -151,11 +90,6 @@ pub struct RewriteConfig {
     /// used; the old trailing `parts` argument of `rewrite_partition`
     /// folded into this field.
     pub partition_regions: usize,
-    /// Worklist scheduler for the Galois engines (`dacpara`, `iccad18`):
-    /// [`SchedulerKind::Steal`] (the default) retries conflict-aborted
-    /// commits within the pass; [`SchedulerKind::Barrier`] is the
-    /// historical shared-cursor scheme.
-    pub scheduler: SchedulerKind,
     /// How many times a concurrent pass may recover from arena exhaustion
     /// by salvaging committed work and re-homing into a geometrically
     /// grown arena before [`dacpara_aig::AigError::CapacityExhausted`] is
@@ -180,7 +114,6 @@ impl RewriteConfig {
             revalidate: true,
             refined_library: false,
             partition_regions: 0,
-            scheduler: SchedulerKind::Steal,
             max_regrowths: 4,
         }
     }
@@ -209,13 +142,6 @@ impl RewriteConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> RewriteConfig {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// This configuration with a different worklist scheduler.
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> RewriteConfig {
-        self.scheduler = scheduler;
         self
     }
 
@@ -390,20 +316,6 @@ mod tests {
             ..cfg
         };
         assert_eq!(explicit.effective_partition_regions(), 3);
-    }
-
-    #[test]
-    fn scheduler_defaults_to_steal_and_round_trips() {
-        assert_eq!(RewriteConfig::rewrite_op().scheduler, SchedulerKind::Steal);
-        assert_eq!(RewriteConfig::p1().scheduler, SchedulerKind::Steal);
-        for kind in [SchedulerKind::Barrier, SchedulerKind::Steal] {
-            assert_eq!(kind.name().parse(), Ok(kind));
-        }
-        let err = "fifo".parse::<SchedulerKind>().unwrap_err();
-        assert!(err.to_string().contains("barrier"), "{err}");
-        let cfg = RewriteConfig::rewrite_op().with_scheduler(SchedulerKind::Barrier);
-        assert_eq!(cfg.scheduler, SchedulerKind::Barrier);
-        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

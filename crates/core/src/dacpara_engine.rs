@@ -18,47 +18,23 @@
 //!    positive gain on the latest AIG", and only then applied under
 //!    Galois-style exclusive locks on the relevant nodes. Enumeration
 //!    results of deleted nodes' transitive fanouts are recursively cleared.
+//!
+//! The run loop, scheduling, retry, recovery and apply machinery is shared
+//! with ICCAD'18 in `driver.rs`; this file holds the node dividing, the
+//! three stages and the §4.4 replacement plan.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::cell::Cell;
+use std::sync::atomic::Ordering;
 
-use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
-use dacpara_cut::CutStore;
-use dacpara_galois::{
-    chunk_size, run_spmd, ItemOutcome, LockTable, SpecStats, StealPool, WorkQueue,
-    MAX_SCHED_RETRIES,
-};
+use dacpara_galois::{run_spmd, ItemOutcome};
 use dacpara_npn::canon;
-use parking_lot::Mutex;
 
-use crate::eval::{build_replacement, evaluate_node, reevaluate_structure, Candidate, EvalContext};
-use crate::lockstep::{backoff, RetryPolicy};
-use crate::recovery::{contain_panic, FirstError};
+use crate::driver::{run_pass, Attempt, Counters, RetryPolicy, Round, Stage};
+use crate::eval::{build_replacement, evaluate_node, reevaluate_structure, Candidate};
 use crate::session::RewriteSession;
 use crate::validity::{cut_cover, verify_cut};
-use crate::{Engine, RewriteConfig, RewriteStats, SchedulerKind};
-
-/// Atomic counters shared by the replacement operators.
-#[derive(Default)]
-struct Counters {
-    replacements: AtomicU64,
-    stale_skipped: AtomicU64,
-    revalidated: AtomicU64,
-    evaluations: AtomicU64,
-}
-
-/// What one replacement activity did.
-enum ReplaceOutcome {
-    /// The activity completed — a replacement committed, the stored result
-    /// was skipped as stale, or the rebuild was a no-op. The node must not
-    /// be scheduled again this round.
-    Finished,
-    /// Aborted on a lock conflict under [`RetryPolicy::Yield`]. The stored
-    /// candidate is handed back so the scheduler can re-enqueue the node
-    /// and the retry can revalidate it against the then-current graph.
-    Conflict(Candidate),
-}
+use crate::{Engine, RewriteConfig, RewriteStats};
 
 /// Runs the DACPara pass.
 ///
@@ -85,591 +61,260 @@ pub fn rewrite_dacpara(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteStat
     Ok(stats)
 }
 
-/// One DACPara pass on the session's resident state: the first pass (after
-/// creation or re-sync) covers the whole graph, later passes only the dirty
-/// set, and an empty dirty set returns immediately — no enumeration, no
-/// evaluation.
-///
-/// Fault tolerance: when a round ends with an error, the team has already
-/// drained cooperatively through the `bail()` checks, and the pass hands
-/// the first error to [`RewriteSession::recover`]. If recovery succeeds
-/// (arena re-homed with grown headroom, or a contained panic's salvage
-/// validated), the same run is redone on the salvaged graph — committed
-/// rewrites are kept — instead of returning `Err`.
+/// One DACPara pass on the session's resident state (see
+/// [`run_pass`] for the run loop, incrementality and recovery).
 pub(crate) fn session_pass(sess: &mut RewriteSession) -> Result<RewriteStats, AigError> {
-    let start = Instant::now();
     let _pass_span = dacpara_obs::span!("rewrite_dacpara", threads = sess.cfg.threads);
-    let mut stats = RewriteStats {
-        engine: "dacpara".into(),
-        area_before: sess.shared.num_ands(),
-        delay_before: sess.shared.depth(),
-        ..Default::default()
-    };
-    let spec = SpecStats::new();
-    let lock_base = sess.locks.stats().snapshot();
-    let counters = Counters::default();
-    let stage_ns = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
-    let pool = match sess.cfg.scheduler {
-        SchedulerKind::Steal => Some(StealPool::new(sess.cfg.threads)),
-        SchedulerKind::Barrier => None,
-    };
-    let mut worked = false;
-    // Replacements already credited to a previous salvage, so recoveries
-    // report only the commits they newly carried over.
-    let mut salvage_mark = 0u64;
-
-    let runs = sess.cfg.runs.max(1);
-    let mut run = 0;
-    while run < runs {
-        let (work, skipped) = sess.take_worklist();
-        stats.clean_skipped += skipped;
-        if work.is_empty() {
-            run += 1;
-            continue; // fixpoint: nothing enumerated, nothing evaluated
-        }
-        worked = true;
-        let cfg = &sess.cfg;
-        let (shared, store, locks, prep, ctx) = (
-            &sess.shared,
-            &sess.store,
-            &sess.locks,
-            &sess.prep,
-            &sess.ctx,
-        );
-
-        // --- Node dividing (Fig. 1): one worklist per initial level
-        // (or a single global worklist under the ablation flag).
-        let mut worklists: Vec<Vec<NodeId>> = Vec::new();
-        if cfg.level_partition {
-            for n in work {
-                let level = shared.level(n) as usize;
-                if worklists.len() <= level {
-                    worklists.resize_with(level + 1, Vec::new);
-                }
-                worklists[level].push(n);
-            }
-        } else {
-            worklists.push(work);
-        }
-        // Level 0 holds no AND nodes and sparse dirty sets leave gaps;
-        // empty lists have no chunk size and would only burn barriers.
-        worklists.retain(|l| !l.is_empty());
-        stats.worklists += worklists.len();
-
-        let queue = WorkQueue::new(0);
-        let error = FirstError::new();
-        let stage_start: Mutex<Instant> = Mutex::new(Instant::now());
-
-        {
-            let (queue, error, spec, counters, stage_ns) =
-                (&queue, &error, &spec, &counters, &stage_ns);
-            let pool = pool.as_ref();
-            let worklists = &worklists;
-            let stage_start = &stage_start;
-            run_spmd(cfg.threads, |w| {
-                let owner = w.id as u32 + 1;
-                let bail = || error.is_set();
-                let begin_stage = |list_len: usize| {
-                    if w.barrier() {
-                        // A poisoned pass distributes nothing, but still
-                        // arms the scheduler so its drain invariant holds.
-                        let len = if error.is_set() { 0 } else { list_len };
-                        match pool {
-                            Some(pool) => pool.begin(len),
-                            None => queue.reset(len),
-                        }
-                        *stage_start.lock() = Instant::now();
-                    }
-                    w.barrier();
-                };
-                let end_stage = |stage: usize| {
-                    if w.barrier() {
-                        let ns = stage_start.lock().elapsed().as_nanos() as u64;
-                        stage_ns[stage].fetch_add(ns, Ordering::Relaxed);
-                    }
-                    w.barrier();
-                };
-
-                for list in worklists {
-                    let chunk = chunk_size(list.len(), w.num_threads);
-
-                    // -------- Stage 1: parallel cut enumeration.
-                    //
-                    // Every worker must enter the drain loop even when a
-                    // teammate has already reported an error: under the
-                    // steal scheduler each worker seeds its own block of an
-                    // armed round inside `drive`, so a worker that skipped
-                    // the stage wholesale would strand its share as
-                    // forever-pending items and the rest of the team would
-                    // spin on the drain count. Bailing is per-item instead.
-                    begin_stage(list.len());
-                    {
-                        let _obs = dacpara_obs::span("enumerate");
-                        let step = |i: usize| {
-                            if bail() {
-                                return;
-                            }
-                            let n = list[i];
-                            if shared.is_and(n) && shared.refs(n) > 0 {
-                                let _ = store.try_cuts(shared, n);
-                            }
-                        };
-                        match pool {
-                            Some(pool) => pool.drive(w.id, |i, _| {
-                                step(i);
-                                ItemOutcome::Done
-                            }),
-                            None => {
-                                while let Some(range) = queue.next_chunk(chunk) {
-                                    range.for_each(&step);
-                                }
-                            }
-                        }
-                    }
-                    end_stage(0);
-
-                    // -------- Stage 2: parallel, lock-free evaluation.
-                    begin_stage(list.len());
-                    {
-                        let _obs = dacpara_obs::span("evaluate");
-                        let step = |i: usize| {
-                            if bail() {
-                                return;
-                            }
-                            let n = list[i];
-                            if !shared.is_and(n) || shared.refs(n) == 0 {
-                                *prep[n.index()].lock() = None;
-                                return;
-                            }
-                            counters.evaluations.fetch_add(1, Ordering::Relaxed);
-                            let cand = store
-                                .try_cuts(shared, n)
-                                .and_then(|cuts| evaluate_node(shared, n, &cuts, ctx));
-                            *prep[n.index()].lock() = cand;
-                        };
-                        match pool {
-                            Some(pool) => pool.drive(w.id, |i, _| {
-                                step(i);
-                                ItemOutcome::Done
-                            }),
-                            None => {
-                                while let Some(range) = queue.next_chunk(chunk) {
-                                    range.for_each(&step);
-                                }
-                            }
-                        }
-                    }
-                    end_stage(1);
-
-                    // -------- Stage 3: parallel validated replacement.
-                    begin_stage(list.len());
-                    {
-                        let _obs = dacpara_obs::span("replace");
-                        // Feature-gated PR 4 drain-bug variant, the fuzzing
-                        // self-test target: when a steal round hands items
-                        // across workers, an off-by-one in the adopted range
-                        // pairs a node with the stored candidate of its
-                        // worklist neighbor. The §4.4 revalidation would
-                        // reject the foreign cut (its cover walk cannot
-                        // reach the neighbor's leaves), but the drained
-                        // commit skips that too — see `replace_operator`.
-                        // One mis-adoption per worker per list keeps the
-                        // corruption bounded so passes still terminate.
-                        // Never enabled in default builds.
-                        let misadopted = std::cell::Cell::new(false);
-                        match pool {
-                            // Work stealing: a conflict-aborted commit puts
-                            // its candidate back into `prep` and yields the
-                            // node to the retry queue; the retry ceiling
-                            // eventually forces inline blocking instead.
-                            Some(pool) => pool.drive(w.id, |i, tries| {
-                                if bail() {
-                                    return ItemOutcome::Done;
-                                }
-                                let n = list[i];
-                                let mut adopted = None;
-                                if cfg!(feature = "inject-drain-bug")
-                                    && !misadopted.get()
-                                    && i + 1 < list.len()
-                                {
-                                    adopted = prep[list[i + 1].index()].lock().take();
-                                    if adopted.is_some() {
-                                        misadopted.set(true);
-                                    }
-                                }
-                                let Some(cand) = adopted.or_else(|| prep[n.index()].lock().take())
-                                else {
-                                    return ItemOutcome::Done;
-                                };
-                                let policy = if tries < MAX_SCHED_RETRIES {
-                                    RetryPolicy::Yield
-                                } else {
-                                    RetryPolicy::Block
-                                };
-                                // Contain operator panics at the item
-                                // boundary: the pool never sees an unwind,
-                                // so it is not poisoned and the round drains
-                                // normally while `bail()` skips the rest.
-                                match contain_panic(|| {
-                                    replace_operator(
-                                        shared,
-                                        store,
-                                        locks,
-                                        ctx,
-                                        n,
-                                        cand,
-                                        owner,
-                                        spec,
-                                        counters,
-                                        cfg.revalidate,
-                                        policy,
-                                        tries,
-                                    )
-                                }) {
-                                    Ok(ReplaceOutcome::Finished) => {
-                                        if tries > 0 {
-                                            pool.stats().record_retry_commit();
-                                        }
-                                        ItemOutcome::Done
-                                    }
-                                    Ok(ReplaceOutcome::Conflict(cand)) => {
-                                        *prep[n.index()].lock() = Some(cand);
-                                        ItemOutcome::Retry
-                                    }
-                                    Err(e) => {
-                                        error.record(e);
-                                        ItemOutcome::Done
-                                    }
-                                }
-                            }),
-                            None => {
-                                while let Some(range) = queue.next_chunk(chunk) {
-                                    if bail() {
-                                        break;
-                                    }
-                                    for i in range {
-                                        let n = list[i];
-                                        let Some(cand) = prep[n.index()].lock().take() else {
-                                            continue;
-                                        };
-                                        // Contain panics here too: an unwind
-                                        // out of this closure would strand
-                                        // the rest of the team at the next
-                                        // barrier forever.
-                                        if let Err(e) = contain_panic(|| {
-                                            replace_operator(
-                                                shared,
-                                                store,
-                                                locks,
-                                                ctx,
-                                                n,
-                                                cand,
-                                                owner,
-                                                spec,
-                                                counters,
-                                                cfg.revalidate,
-                                                RetryPolicy::Block,
-                                                0,
-                                            )
-                                        }) {
-                                            error.record(e);
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    end_stage(2);
-
-                    // Leader restores strash canonicity between lists,
-                    // tracing the merges into the dirty set.
-                    if w.barrier() {
-                        sess.canonicalize_and_sweep(false);
-                    }
-                    w.barrier();
-                }
-            });
-        }
-        stats.errors_observed += error.superseded();
-        match error.take() {
-            None => {
-                sess.canonicalize_and_sweep(true);
-                sess.shared.recompute_levels();
-                run += 1;
-            }
-            Some(e) => {
-                // Salvage committed work and redo this run on the recovered
-                // graph; `recover` propagates the error once its budget
-                // (max_regrowths / panic backstop) is spent.
-                let committed = counters.replacements.load(Ordering::Relaxed);
-                sess.recover(e, &mut stats, committed - salvage_mark)?;
-                salvage_mark = committed;
-            }
-        }
-    }
-
-    stats.area_after = sess.shared.num_ands();
-    stats.delay_after = sess.shared.depth();
-    stats.replacements = counters.replacements.load(Ordering::Relaxed);
-    stats.stale_skipped = counters.stale_skipped.load(Ordering::Relaxed);
-    stats.revalidated = counters.revalidated.load(Ordering::Relaxed);
-    stats.evaluations = counters.evaluations.load(Ordering::Relaxed);
-    spec.merge_snapshot(&sess.locks.stats().snapshot().since(&lock_base));
-    stats.spec = spec.snapshot();
-    if let Some(pool) = &pool {
-        stats.sched = pool.stats().snapshot();
-    }
-    for (i, ns) in stage_ns.iter().enumerate() {
-        stats.stage_times[i] = std::time::Duration::from_nanos(ns.load(Ordering::Relaxed));
-    }
-    stats.time = start.elapsed();
-    if dacpara_obs::is_enabled() {
-        dacpara_obs::counter("rewrite.evaluations").add(stats.evaluations);
-    }
-    sess.set_converged(!worked || (stats.replacements == 0 && sess.store.dirty_count() == 0));
-    Ok(stats)
+    run_pass(sess, "dacpara", round)
 }
 
-/// The §4.4 replacement operator for one node.
-///
-/// Every attempt (loop iteration) records exactly one Galois commit or
-/// abort, so `commits + aborts == attempts` holds at quiescence. Under
-/// [`RetryPolicy::Yield`] a lock conflict returns the (unmodified) stored
-/// candidate via [`ReplaceOutcome::Conflict`] instead of spinning; `tries`
-/// is how many times the scheduler has already re-enqueued this node.
-#[allow(clippy::too_many_arguments)]
-fn replace_operator(
-    shared: &ConcurrentAig,
-    store: &CutStore,
-    locks: &LockTable,
-    ctx: &EvalContext,
-    n: NodeId,
-    cand: Candidate,
-    owner: u32,
-    spec: &SpecStats,
-    counters: &Counters,
-    revalidate: bool,
-    policy: RetryPolicy,
-    tries: u32,
-) -> Result<ReplaceOutcome, AigError> {
-    // Injected before the first `record_attempt` so a contained panic never
-    // breaks the exact `attempts == commits + aborts` accounting.
-    if dacpara_fault::point(dacpara_fault::points::OPERATOR_PANIC) {
-        panic!("injected fault: operator.panic");
+/// One run: divide the worklist by level and push each list through the
+/// three barrier-separated stages.
+fn round(r: &Round<'_>, work: Vec<NodeId>, stats: &mut RewriteStats) {
+    let sess = r.sess;
+    let (shared, store, prep) = (&sess.shared, &sess.store, &sess.prep);
+
+    // --- Node dividing (Fig. 1): one worklist per initial level (or a
+    // single global worklist under the ablation flag).
+    let mut worklists: Vec<Vec<NodeId>> = Vec::new();
+    if sess.cfg.level_partition {
+        for n in work {
+            let level = shared.level(n) as usize;
+            if worklists.len() <= level {
+                worklists.resize_with(level + 1, Vec::new);
+            }
+            worklists[level].push(n);
+        }
+    } else {
+        worklists.push(work);
     }
-    let mut spins = 0u32;
-    // A rescheduled node already counted its revalidation on the first try.
-    let mut revalidation_counted = tries > 0;
-    loop {
-        let attempt = Instant::now();
-        spec.record_attempt();
-        if !shared.is_and(n) || shared.refs(n) == 0 {
-            counters.stale_skipped.fetch_add(1, Ordering::Relaxed);
-            spec.record_commit(attempt.elapsed());
-            return Ok(ReplaceOutcome::Finished);
-        }
+    // Level 0 holds no AND nodes and sparse dirty sets leave gaps; empty
+    // lists would only burn barriers.
+    worklists.retain(|l| !l.is_empty());
+    stats.worklists += worklists.len();
 
-        // The commit half of the feature-gated PR 4 drain-bug variant (see
-        // stage 3): a worker draining a steal round treats adopted items as
-        // already validated and already locked by their original owner, and
-        // commits the stored snapshot wholesale — no leaf-generation triage,
-        // no cover re-walk, no truth-table re-simulation, no gain
-        // re-evaluation, no region locks. Combined with the adoption
-        // off-by-one this installs a neighbor's structure under the wrong
-        // root. Never enabled in default builds.
-        let drain_bug = cfg!(feature = "inject-drain-bug") && policy == RetryPolicy::Yield;
-        if drain_bug {
-            let root = build_replacement(&mut &*shared, &cand, ctx.lib)?;
-            // Even the injected bug must keep the graph acyclic: a foreign
-            // structure can strash-resolve an interior node onto n itself,
-            // and committing that would hang every downstream topo walk
-            // rather than miscompare. The historical bug corrupted
-            // *functions*; keep the reproduction in that class.
-            let reaches_n = root.node() != n && {
-                let mut stack = vec![root.node()];
-                let mut seen = vec![false; shared.slot_count()];
-                let mut found = false;
-                while let Some(x) = stack.pop() {
-                    if x == n {
-                        found = true;
-                        break;
+    run_spmd(sess.cfg.threads, |w| {
+        let owner = w.id as u32 + 1;
+        for list in &worklists {
+            // -------- Stage 1: parallel cut enumeration.
+            r.stage(w, list.len(), Some(Stage::Enumerate), |i, _| {
+                r.step(|| {
+                    let n = list[i];
+                    if shared.is_and(n) && shared.refs(n) > 0 {
+                        let _ = store.try_cuts(shared, n);
                     }
-                    if !std::mem::replace(&mut seen[x.index()], true) && shared.is_and(x) {
-                        for f in shared.fanins(x) {
-                            stack.push(f.node());
-                        }
+                })
+            });
+
+            // -------- Stage 2: parallel, lock-free evaluation.
+            r.stage(w, list.len(), Some(Stage::Evaluate), |i, _| {
+                r.step(|| {
+                    let n = list[i];
+                    if !shared.is_and(n) || shared.refs(n) == 0 {
+                        *prep[n.index()].lock() = None;
+                        return;
+                    }
+                    r.counters.evaluations.fetch_add(1, Ordering::Relaxed);
+                    let cand = store
+                        .try_cuts(shared, n)
+                        .and_then(|cuts| evaluate_node(shared, n, &cuts, &sess.ctx));
+                    *prep[n.index()].lock() = cand;
+                })
+            });
+
+            // -------- Stage 3: parallel validated replacement. A
+            // conflict-aborted commit puts its candidate back into `prep`
+            // and yields the node to the retry queue; the retry ceiling
+            // eventually forces inline blocking instead.
+            //
+            // Feature-gated drain-bug variant, the fuzzing self-test
+            // target (it re-creates a historical steal-scheduler drain
+            // bug): an off-by-one in the adopted range pairs a node with
+            // the stored candidate of its worklist neighbor. The §4.4
+            // revalidation would reject the foreign cut (its cover walk
+            // cannot reach the neighbor's leaves), but the drained commit
+            // skips that too — see `replace`. One mis-adoption per worker
+            // per list keeps the corruption bounded so passes still
+            // terminate. Never enabled in default builds.
+            let misadopted = Cell::new(false);
+            r.stage(w, list.len(), Some(Stage::Replace), |i, tries| {
+                r.speculate(tries, |policy| {
+                    let n = list[i];
+                    let mut adopted = None;
+                    if cfg!(feature = "inject-drain-bug") && !misadopted.get() && i + 1 < list.len()
+                    {
+                        adopted = prep[list[i + 1].index()].lock().take();
+                        misadopted.set(adopted.is_some());
+                    }
+                    let Some(cand) = adopted.or_else(|| prep[n.index()].lock().take()) else {
+                        return Ok(ItemOutcome::Done);
+                    };
+                    // A rescheduled node already counted its revalidation
+                    // on the first try.
+                    let mut revalidation_counted = tries > 0;
+                    let outcome = r.attempts(policy, || {
+                        replace(r, owner, n, &cand, policy, &mut revalidation_counted)
+                    });
+                    if let Ok(ItemOutcome::Retry) = outcome {
+                        *prep[n.index()].lock() = Some(cand);
+                    }
+                    outcome
+                })
+            });
+
+            // Leader restores strash canonicity between lists, tracing the
+            // merges into the dirty set.
+            if w.barrier() {
+                sess.canonicalize_and_sweep(false);
+            }
+            w.barrier();
+        }
+    });
+}
+
+/// Counts a stored result found stale: the activity completes without
+/// replacing anything.
+fn stale(counters: &Counters) -> Result<Attempt, AigError> {
+    counters.stale_skipped.fetch_add(1, Ordering::Relaxed);
+    Ok(Attempt::Commit)
+}
+
+/// One attempt of the §4.4 replacement operator: validate the stored
+/// candidate against the latest graph, lock its region, re-evaluate the
+/// gain under the locks, then apply. The stored candidate stays untouched,
+/// so a conflict can hand it back to the scheduler for a fresh
+/// revalidation.
+fn replace(
+    r: &Round<'_>,
+    owner: u32,
+    n: NodeId,
+    cand: &Candidate,
+    policy: RetryPolicy,
+    revalidation_counted: &mut bool,
+) -> Result<Attempt, AigError> {
+    let sess = r.sess;
+    let (shared, store, ctx, counters) = (&sess.shared, &sess.store, &sess.ctx, r.counters);
+    if !shared.is_and(n) || shared.refs(n) == 0 {
+        return stale(counters);
+    }
+
+    // The commit half of the feature-gated drain-bug variant (see
+    // stage 3): a worker draining a steal round treats adopted items as
+    // already validated and already locked by their original owner, and
+    // commits the stored snapshot wholesale — no leaf-generation triage,
+    // no cover re-walk, no truth-table re-simulation, no gain
+    // re-evaluation, no region locks. Combined with the adoption
+    // off-by-one this installs a neighbor's structure under the wrong
+    // root. Never enabled in default builds.
+    if cfg!(feature = "inject-drain-bug") && policy == RetryPolicy::Yield {
+        let root = build_replacement(&mut &*shared, cand, ctx.lib)?;
+        // Even the injected bug must keep the graph acyclic: a foreign
+        // structure can strash-resolve an interior node onto n itself, and
+        // committing that would hang every downstream topo walk rather
+        // than miscompare. The historical bug corrupted *functions*; keep
+        // the reproduction in that class.
+        let reaches_n = root.node() != n && {
+            let mut stack = vec![root.node()];
+            let mut seen = vec![false; shared.slot_count()];
+            let mut found = false;
+            while let Some(x) = stack.pop() {
+                if x == n {
+                    found = true;
+                    break;
+                }
+                if !std::mem::replace(&mut seen[x.index()], true) && shared.is_and(x) {
+                    for f in shared.fanins(x) {
+                        stack.push(f.node());
                     }
                 }
-                found
-            };
-            if root.node() != n && !reaches_n {
-                store.invalidate_tfo(shared, n);
-                shared.replace_locked(n, root);
-                counters.replacements.fetch_add(1, Ordering::Relaxed);
-                for &l in &cand.leaves {
-                    store.mark_dirty_tfo(shared, l);
-                }
             }
-            spec.record_commit(attempt.elapsed());
-            return Ok(ReplaceOutcome::Finished);
-        }
-
-        // ---- Triage: are the stored leaves untouched (Theorem 1 case)?
-        let leaves_fresh = cand
-            .leaves
-            .iter()
-            .zip(&cand.leaf_gens)
-            .all(|(&l, &g)| shared.is_alive(l) && shared.generation(l) == g);
-        if !leaves_fresh {
-            if !revalidate {
-                counters.stale_skipped.fetch_add(1, Ordering::Relaxed);
-                spec.record_commit(attempt.elapsed());
-                return Ok(ReplaceOutcome::Finished);
-            }
-            if !revalidation_counted {
-                counters.revalidated.fetch_add(1, Ordering::Relaxed);
-                revalidation_counted = true;
-            }
-            // §4.4: re-enumerate on the latest AIG and match the stored cut
-            // against the fresh cut set.
-            store.invalidate(n);
-            let Some(fresh) = store.try_cuts(shared, n) else {
-                if !shared.is_and(n) {
-                    counters.stale_skipped.fetch_add(1, Ordering::Relaxed);
-                    spec.record_commit(attempt.elapsed());
-                    return Ok(ReplaceOutcome::Finished);
-                }
-                // Someone holds the enumeration generation mid-update: a
-                // conflict like any other lock conflict.
-                spec.record_abort(attempt.elapsed());
-                if policy == RetryPolicy::Yield {
-                    return Ok(ReplaceOutcome::Conflict(cand));
-                }
-                backoff(&mut spins);
-                continue;
-            };
-            if !fresh.iter().any(|c| c.leaves() == &cand.leaves[..]) {
-                counters.stale_skipped.fetch_add(1, Ordering::Relaxed);
-                spec.record_commit(attempt.elapsed());
-                // A missed optimization opportunity (§5.2).
-                return Ok(ReplaceOutcome::Finished);
-            }
-        }
-
-        // ---- Phase-1 locks: the node, the cut cone, and the fanouts.
-        let Some(cover_hint) = cut_cover(shared, n, &cand.leaves) else {
-            counters.stale_skipped.fetch_add(1, Ordering::Relaxed);
-            spec.record_commit(attempt.elapsed());
-            return Ok(ReplaceOutcome::Finished);
+            found
         };
-        let mut region: Vec<u32> = vec![n.raw()];
-        region.extend(cand.leaves.iter().map(|l| l.raw()));
-        region.extend(cover_hint.iter().map(|c| c.raw()));
-        region.extend(shared.fanout_ids(n).iter().map(|f| f.raw()));
-        let Some(guard) = locks.try_acquire(owner, region) else {
-            spec.record_abort(attempt.elapsed());
-            if policy == RetryPolicy::Yield {
-                return Ok(ReplaceOutcome::Conflict(cand));
-            }
-            backoff(&mut spins);
-            continue;
-        };
-
-        // ---- Under locks: recompute the cover and the cut function.
-        let Some((cover, tt)) = verify_cut(shared, n, &cand.leaves) else {
-            counters.stale_skipped.fetch_add(1, Ordering::Relaxed);
-            spec.record_commit(attempt.elapsed());
-            return Ok(ReplaceOutcome::Finished);
-        };
-        if cover
-            .iter()
-            .any(|c| guard.ids().binary_search(&c.raw()).is_err())
-        {
-            // The cone shifted between planning and locking — replan.
-            drop(guard);
-            spec.record_abort(attempt.elapsed());
-            if policy == RetryPolicy::Yield {
-                return Ok(ReplaceOutcome::Conflict(cand));
-            }
-            backoff(&mut spins);
-            continue;
-        }
-        // The stored candidate stays untouched: a conflict below hands it
-        // back to the scheduler for a fresh revalidation.
-        let mut live = cand.clone();
-        if tt != live.tt {
-            // A leaf slot was recycled with different logic (Fig. 3): the
-            // stored structure is only reusable if the NPN class matches.
-            if ctx.registry.class_of(tt) != live.class {
-                counters.stale_skipped.fetch_add(1, Ordering::Relaxed);
-                spec.record_commit(attempt.elapsed());
-                return Ok(ReplaceOutcome::Finished);
-            }
-            live.tt = tt;
-            live.transform = canon(tt).1;
-        }
-
-        // ---- Re-evaluate on the latest AIG: gain must (still) be positive.
-        let re = reevaluate_structure(shared, n, &live, ctx);
-        let gain_ok = re.gain > 0 || (ctx.use_zeros && re.gain >= 0);
-        let level_ok = !ctx.preserve_level || re.level <= shared.level(n);
-        if !(gain_ok && level_ok) {
-            counters.stale_skipped.fetch_add(1, Ordering::Relaxed);
-            spec.record_commit(attempt.elapsed());
-            return Ok(ReplaceOutcome::Finished);
-        }
-
-        // ---- Phase-2 locks: nodes the new structure will share.
-        let extra: Vec<u32> = re
-            .shared_nodes
-            .iter()
-            .map(|s| s.raw())
-            .filter(|id| guard.ids().binary_search(id).is_err())
-            .collect();
-        let _extra_guard = if extra.is_empty() {
-            None
-        } else {
-            match locks.try_acquire(owner, extra) {
-                Some(g) => Some(g),
-                None => {
-                    drop(guard);
-                    spec.record_abort(attempt.elapsed());
-                    if policy == RetryPolicy::Yield {
-                        return Ok(ReplaceOutcome::Conflict(cand));
-                    }
-                    backoff(&mut spins);
-                    continue;
-                }
-            }
-        };
-
-        // ---- Apply: build, then (only if the structure actually differs)
-        // clear stale enumeration results and replace. Invalidating before
-        // the no-op check would re-dirty n's fanout cone every pass and a
-        // session could never converge. The TFO walk must still precede
-        // `replace_locked`, which moves n's fanouts.
-        let root = build_replacement(&mut &*shared, &live, ctx.lib)?;
-        if root.node() != n {
-            for &f in &re.freed {
-                store.invalidate(f);
-            }
+        if root.node() != n && !reaches_n {
             store.invalidate_tfo(shared, n);
             shared.replace_locked(n, root);
             counters.replacements.fetch_add(1, Ordering::Relaxed);
-            // Everything whose evaluation could have changed — the cone
-            // interior, the new structure, shared nodes, and all downstream
-            // users — lies in the transitive fanout of the cut leaves.
-            for &l in &live.leaves {
+            for &l in &cand.leaves {
                 store.mark_dirty_tfo(shared, l);
             }
-            if dacpara_obs::is_enabled() {
-                dacpara_obs::histogram("rewrite.replacement_gain").record(re.gain.max(0) as u64);
-            }
         }
-        spec.record_commit(attempt.elapsed());
-        return Ok(ReplaceOutcome::Finished);
+        return Ok(Attempt::Commit);
     }
+
+    // ---- Triage: are the stored leaves untouched (Theorem 1 case)?
+    let leaves_fresh = cand
+        .leaves
+        .iter()
+        .zip(&cand.leaf_gens)
+        .all(|(&l, &g)| shared.is_alive(l) && shared.generation(l) == g);
+    if !leaves_fresh {
+        if !sess.cfg.revalidate {
+            return stale(counters);
+        }
+        if !*revalidation_counted {
+            counters.revalidated.fetch_add(1, Ordering::Relaxed);
+            *revalidation_counted = true;
+        }
+        // §4.4: re-enumerate on the latest AIG and match the stored cut
+        // against the fresh cut set.
+        store.invalidate(n);
+        let Some(fresh) = store.try_cuts(shared, n) else {
+            // Someone holds the enumeration generation mid-update: a
+            // conflict like any other lock conflict.
+            return if shared.is_and(n) {
+                Ok(Attempt::Abort)
+            } else {
+                stale(counters)
+            };
+        };
+        if !fresh.iter().any(|c| c.leaves() == &cand.leaves[..]) {
+            // A missed optimization opportunity (§5.2).
+            return stale(counters);
+        }
+    }
+
+    // ---- Phase-1 locks: the node, the cut cone, and the fanouts.
+    let Some(cover_hint) = cut_cover(shared, n, &cand.leaves) else {
+        return stale(counters);
+    };
+    let mut region: Vec<u32> = vec![n.raw()];
+    region.extend(cand.leaves.iter().map(|l| l.raw()));
+    region.extend(cover_hint.iter().map(|c| c.raw()));
+    region.extend(shared.fanout_ids(n).iter().map(|f| f.raw()));
+    let Some(guard) = sess.locks.try_acquire(owner, region) else {
+        return Ok(Attempt::Abort);
+    };
+
+    // ---- Under locks: recompute the cover and the cut function.
+    let Some((cover, tt)) = verify_cut(shared, n, &cand.leaves) else {
+        return stale(counters);
+    };
+    if cover
+        .iter()
+        .any(|c| guard.ids().binary_search(&c.raw()).is_err())
+    {
+        // The cone shifted between planning and locking — replan.
+        return Ok(Attempt::Abort);
+    }
+    let mut live = cand.clone();
+    if tt != live.tt {
+        // A leaf slot was recycled with different logic (Fig. 3): the
+        // stored structure is only reusable if the NPN class matches.
+        if ctx.registry.class_of(tt) != live.class {
+            return stale(counters);
+        }
+        live.tt = tt;
+        live.transform = canon(tt).1;
+    }
+
+    // ---- Re-evaluate on the latest AIG: gain must (still) be positive.
+    let re = reevaluate_structure(shared, n, &live, ctx);
+    let gain_ok = re.gain > 0 || (ctx.use_zeros && re.gain >= 0);
+    let level_ok = !ctx.preserve_level || re.level <= shared.level(n);
+    if !(gain_ok && level_ok) {
+        return stale(counters);
+    }
+    r.apply(owner, n, &live, &re, guard)
 }
 
 #[cfg(test)]

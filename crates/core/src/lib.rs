@@ -31,6 +31,7 @@
 
 mod config;
 mod dacpara_engine;
+mod driver;
 mod eval;
 mod lockstep;
 mod partition;
@@ -43,7 +44,7 @@ mod stats;
 pub mod testkit;
 pub mod validity;
 
-pub use config::{ConfigError, ParseSchedulerError, RewriteConfig, SchedulerKind};
+pub use config::{ConfigError, RewriteConfig};
 pub use dacpara_engine::rewrite_dacpara;
 pub use eval::{
     build_replacement, evaluate_cut, evaluate_node, reevaluate_structure, AndBuilder, Candidate,

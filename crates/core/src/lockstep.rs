@@ -6,59 +6,20 @@
 //! it computed, including the (dominant) evaluation work; that wasted work
 //! is what the paper's Fig. 2 contrasts with DACPara's split operators, and
 //! it is recorded here in [`dacpara_galois::SpecStats`].
+//!
+//! The run loop, scheduling, retry, recovery and apply machinery is shared
+//! with DACPara in `driver.rs`; this file holds only the operator's plan.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::atomic::Ordering;
 
-use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
-use dacpara_cut::CutStore;
-use dacpara_galois::{
-    chunk_size, run_spmd, ItemOutcome, LockTable, SpecStats, StealPool, WorkQueue,
-    MAX_SCHED_RETRIES,
-};
+use dacpara_galois::run_spmd;
 
-use crate::eval::{build_replacement, evaluate_node, reevaluate_structure, EvalContext};
-use crate::recovery::{contain_panic, FirstError};
+use crate::driver::{run_pass, Attempt, Round};
+use crate::eval::{evaluate_node, reevaluate_structure};
 use crate::session::RewriteSession;
 use crate::validity::{cut_cover, verify_cut};
-use crate::{Engine, RewriteConfig, RewriteStats, SchedulerKind};
-
-/// Spin-then-yield backoff between speculative retries.
-pub(crate) fn backoff(spins: &mut u32) {
-    *spins += 1;
-    if *spins < 32 {
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
-
-/// How an operator responds to a speculative lock conflict.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum RetryPolicy {
-    /// Spin-retry inline until the activity completes — the barrier
-    /// scheduler's behavior, and the steal scheduler's guaranteed-progress
-    /// fallback once an item has burned [`MAX_SCHED_RETRIES`] reschedules.
-    Block,
-    /// Hand the conflict back to the scheduler: the activity is re-enqueued
-    /// on its worker's retry queue with backoff and the worker moves on to
-    /// other items while the contended region clears.
-    Yield,
-}
-
-/// What one combined-operator activity did.
-enum CombinedOutcome {
-    /// Committed an actual replacement.
-    Replaced,
-    /// Completed without changing the graph (stale skip, no valid cut, no
-    /// positive gain, or a no-op rebuild).
-    Finished,
-    /// Aborted on a lock conflict under [`RetryPolicy::Yield`]; nothing is
-    /// carried over — a retry recomputes enumeration and evaluation from
-    /// scratch, exactly the waste the paper's Fig. 2 charges this scheme.
-    Conflict,
-}
+use crate::{Engine, RewriteConfig, RewriteStats};
 
 /// Runs the combined-operator parallel rewriting pass.
 ///
@@ -73,327 +34,99 @@ pub fn rewrite_lockstep(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteSta
     Ok(stats)
 }
 
-/// One ICCAD'18 pass on the session's resident state (full graph on the
-/// first pass, dirty set afterwards, immediate return at a fixpoint).
-///
-/// Fault tolerance mirrors the DACPara engine: a round that ends with an
-/// error (the team drains cooperatively through the error checks) hands its
-/// first error to [`RewriteSession::recover`], which salvages committed
-/// rewrites and — within its regrowth/panic budgets — re-homes the arena so
-/// the same run can be redone instead of returning `Err`.
+/// One ICCAD'18 pass on the session's resident state (see [`run_pass`] for
+/// the run loop, incrementality and recovery).
 pub(crate) fn session_pass(sess: &mut RewriteSession) -> Result<RewriteStats, AigError> {
-    let start = Instant::now();
     let _pass_span = dacpara_obs::span!("rewrite_lockstep", threads = sess.cfg.threads);
-    let mut stats = RewriteStats {
-        engine: "iccad18".into(),
-        area_before: sess.shared.num_ands(),
-        delay_before: sess.shared.depth(),
-        ..Default::default()
-    };
-    let spec = SpecStats::new();
-    let lock_base = sess.locks.stats().snapshot();
-    let evaluations = AtomicU64::new(0);
-    let pool = match sess.cfg.scheduler {
-        SchedulerKind::Steal => Some(StealPool::new(sess.cfg.threads)),
-        SchedulerKind::Barrier => None,
-    };
-    let mut worked = false;
-
-    let runs = sess.cfg.runs.max(1);
-    let mut run = 0;
-    while run < runs {
-        let (order, skipped) = sess.take_worklist();
-        stats.clean_skipped += skipped;
-        if order.is_empty() {
-            run += 1;
-            continue; // fixpoint: no operator runs at all
-        }
-        worked = true;
-        let cfg = &sess.cfg;
-        let (shared, store, locks, ctx) = (&sess.shared, &sess.store, &sess.locks, &sess.ctx);
-        let queue = WorkQueue::new(order.len());
-        let chunk = chunk_size(order.len(), cfg.threads);
-        let error = FirstError::new();
-        let replacements = AtomicU64::new(0);
-
-        {
-            let (order, queue, error, replacements, spec, evaluations) =
-                (&order, &queue, &error, &replacements, &spec, &evaluations);
-            let pool = pool.as_ref();
-            if let Some(pool) = pool {
-                pool.begin(order.len());
-            }
-            run_spmd(cfg.threads, |w| {
-                let owner = w.id as u32 + 1;
-                match pool {
-                    // Work stealing: a conflict-aborted operator yields the
-                    // item back to the scheduler instead of spin-retrying
-                    // inline, until the retry ceiling forces it to block.
-                    Some(pool) => pool.drive(w.id, |i, tries| {
-                        if error.is_set() {
-                            return ItemOutcome::Done;
-                        }
-                        let policy = if tries < MAX_SCHED_RETRIES {
-                            RetryPolicy::Yield
-                        } else {
-                            RetryPolicy::Block
-                        };
-                        // Contain operator panics at the item boundary: the
-                        // pool never sees an unwind, so it is not poisoned
-                        // and the round drains normally while the error
-                        // check above skips the rest.
-                        match contain_panic(|| {
-                            combined_operator(
-                                shared,
-                                store,
-                                locks,
-                                ctx,
-                                order[i],
-                                owner,
-                                spec,
-                                evaluations,
-                                policy,
-                            )
-                        }) {
-                            Ok(CombinedOutcome::Conflict) => ItemOutcome::Retry,
-                            Ok(out) => {
-                                if matches!(out, CombinedOutcome::Replaced) {
-                                    replacements.fetch_add(1, Ordering::Relaxed);
-                                }
-                                if tries > 0 {
-                                    pool.stats().record_retry_commit();
-                                }
-                                ItemOutcome::Done
-                            }
-                            Err(e) => {
-                                error.record(e);
-                                ItemOutcome::Done
-                            }
-                        }
-                    }),
-                    None => {
-                        while let Some(range) = queue.next_chunk(chunk) {
-                            if error.is_set() {
-                                return;
-                            }
-                            for i in range {
-                                // Contain panics here too: an unwind out of
-                                // this closure would kill the worker thread
-                                // and abort the whole process via the SPMD
-                                // scope join.
-                                match contain_panic(|| {
-                                    combined_operator(
-                                        shared,
-                                        store,
-                                        locks,
-                                        ctx,
-                                        order[i],
-                                        owner,
-                                        spec,
-                                        evaluations,
-                                        RetryPolicy::Block,
-                                    )
-                                }) {
-                                    Ok(CombinedOutcome::Replaced) => {
-                                        replacements.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Ok(_) => {}
-                                    Err(e) => {
-                                        error.record(e);
-                                        return;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        stats.errors_observed += error.superseded();
-        // `replacements` is fresh each round, so everything it counted this
-        // round is either carried into stats on success or salvaged below.
-        let committed = replacements.load(Ordering::Relaxed);
-        stats.replacements += committed;
-        match error.take() {
-            None => {
-                sess.canonicalize_and_sweep(true);
-                sess.shared.recompute_levels();
-                run += 1;
-            }
-            Some(e) => {
-                // Salvage committed work and redo this run on the recovered
-                // graph; `recover` propagates the error once its budget
-                // (max_regrowths / panic backstop) is spent.
-                sess.recover(e, &mut stats, committed)?;
-            }
-        }
-    }
-
-    stats.area_after = sess.shared.num_ands();
-    stats.delay_after = sess.shared.depth();
-    stats.evaluations = evaluations.load(Ordering::Relaxed);
-    spec.merge_snapshot(&sess.locks.stats().snapshot().since(&lock_base));
-    stats.spec = spec.snapshot();
-    if let Some(pool) = &pool {
-        stats.sched = pool.stats().snapshot();
-    }
-    stats.time = start.elapsed();
-    sess.set_converged(!worked || (stats.replacements == 0 && sess.store.dirty_count() == 0));
-    Ok(stats)
+    run_pass(sess, "iccad18", round)
 }
 
-/// The single ICCAD'18-style operator: enumerate, lock everything related,
-/// evaluate *while holding the locks*, then replace.
-///
-/// Every attempt (loop iteration) records exactly one Galois commit or
-/// abort, so `commits + aborts == attempts` holds at quiescence.
-#[allow(clippy::too_many_arguments)]
-fn combined_operator(
-    shared: &ConcurrentAig,
-    store: &CutStore,
-    locks: &LockTable,
-    ctx: &EvalContext,
-    n: NodeId,
-    owner: u32,
-    spec: &SpecStats,
-    evaluations: &AtomicU64,
-    policy: RetryPolicy,
-) -> Result<CombinedOutcome, AigError> {
-    // Injected before the first `record_attempt` so a contained panic never
-    // breaks the exact `attempts == commits + aborts` accounting.
-    if dacpara_fault::point(dacpara_fault::points::OPERATOR_PANIC) {
-        panic!("injected fault: operator.panic");
-    }
-    let mut spins = 0u32;
-    loop {
-        let attempt = Instant::now();
-        spec.record_attempt();
-        if !shared.is_and(n) || shared.refs(n) == 0 {
-            spec.record_commit(attempt.elapsed());
-            return Ok(CombinedOutcome::Finished);
-        }
-
-        // Stage A: cut enumeration (results verified under locks below).
-        let enum_span = dacpara_obs::span("enumerate");
-        let cuts = store.try_cuts(shared, n);
-        drop(enum_span);
-        let Some(cuts) = cuts else {
-            if !shared.is_and(n) {
-                spec.record_commit(attempt.elapsed());
-                return Ok(CombinedOutcome::Finished);
-            }
-            spec.record_abort(attempt.elapsed());
-            if policy == RetryPolicy::Yield {
-                return Ok(CombinedOutcome::Conflict);
-            }
-            backoff(&mut spins);
-            continue;
-        };
-
-        // Lock "all related nodes": self, fanouts, every cut's cover and
-        // leaves — acquired *before* evaluation, held throughout, exactly
-        // the scheme whose serialization the paper criticizes. Cuts whose
-        // cover cannot be collected (stale, or larger than the exploration
-        // bound around high-fanout reconvergence) are simply dropped from
-        // consideration — retrying could loop forever on a stable graph.
-        let mut region: Vec<u32> = vec![n.raw()];
-        region.extend(shared.fanout_ids(n).iter().map(|f| f.raw()));
-        let mut usable: Vec<dacpara_cut::Cut> = Vec::with_capacity(cuts.len());
-        for cut in cuts.iter().filter(|c| c.len() >= 2) {
-            if let Some(cover) = cut_cover(shared, n, cut.leaves()) {
-                region.extend(cover.iter().map(|c| c.raw()));
-                region.extend(cut.leaves().iter().map(|l| l.raw()));
-                usable.push(*cut);
-            }
-        }
-        if usable.is_empty() {
-            spec.record_commit(attempt.elapsed());
-            return Ok(CombinedOutcome::Finished);
-        }
-        let Some(guard) = locks.try_acquire(owner, region) else {
-            spec.record_abort(attempt.elapsed());
-            if policy == RetryPolicy::Yield {
-                return Ok(CombinedOutcome::Conflict);
-            }
-            backoff(&mut spins);
-            continue;
-        };
-
-        // Under locks: keep only cuts whose function is confirmed on the
-        // live graph (stale enumerations are dropped, not misapplied).
-        let valid_cuts: Vec<_> = usable
-            .iter()
-            .filter(|c| matches!(verify_cut(shared, n, c.leaves()), Some((_, tt)) if tt == c.tt()))
-            .copied()
-            .collect();
-
-        // Stage B: evaluation while holding every lock.
-        let eval_span = dacpara_obs::span("evaluate");
-        evaluations.fetch_add(1, Ordering::Relaxed);
-        let cand = evaluate_node(shared, n, &valid_cuts, ctx);
-        drop(eval_span);
-        let Some(cand) = cand else {
-            spec.record_commit(attempt.elapsed());
-            return Ok(CombinedOutcome::Finished);
-        };
-        let re = reevaluate_structure(shared, n, &cand, ctx);
-        let gain_ok = re.gain > 0 || (ctx.use_zeros && re.gain >= 0);
-        if !gain_ok {
-            spec.record_commit(attempt.elapsed());
-            return Ok(CombinedOutcome::Finished);
-        }
-
-        // Shared (reused) nodes must be locked before mutation.
-        let extra: Vec<u32> = re
-            .shared_nodes
-            .iter()
-            .map(|s| s.raw())
-            .filter(|id| guard.ids().binary_search(id).is_err())
-            .collect();
-        let _extra_guard = if extra.is_empty() {
-            None
-        } else {
-            match locks.try_acquire(owner, extra) {
-                Some(g) => Some(g),
-                None => {
-                    drop(guard);
-                    // Everything — enumeration AND evaluation — is lost.
-                    spec.record_abort(attempt.elapsed());
-                    if policy == RetryPolicy::Yield {
-                        return Ok(CombinedOutcome::Conflict);
-                    }
-                    backoff(&mut spins);
-                    continue;
-                }
-            }
-        };
-
-        // Stage C: replacement. Invalidation happens only when the new
-        // structure actually differs (a no-op must not re-dirty the fanout
-        // cone, or a session would never converge) and the TFO walk must
-        // precede `replace_locked`, which moves n's fanouts.
-        let _obs = dacpara_obs::span("replace");
-        let root = build_replacement(&mut &*shared, &cand, ctx.lib)?;
-        let applied = root.node() != n;
-        if applied {
-            for &f in &re.freed {
-                store.invalidate(f);
-            }
-            store.invalidate_tfo(shared, n);
-            shared.replace_locked(n, root);
-            // Everything whose evaluation could have changed lies in the
-            // transitive fanout of the cut leaves.
-            for &l in &cand.leaves {
-                store.mark_dirty_tfo(shared, l);
-            }
-        }
-        spec.record_commit(attempt.elapsed());
-        return Ok(if applied {
-            CombinedOutcome::Replaced
-        } else {
-            CombinedOutcome::Finished
+/// One run: a single speculative stage over the whole worklist.
+fn round(r: &Round<'_>, work: Vec<NodeId>, _: &mut RewriteStats) {
+    run_spmd(r.sess.cfg.threads, |w| {
+        let owner = w.id as u32 + 1;
+        r.stage(w, work.len(), None, |i, tries| {
+            r.speculate(tries, |policy| {
+                r.attempts(policy, || combined(r, owner, work[i]))
+            })
         });
+    });
+}
+
+/// One attempt of the single ICCAD'18-style operator: enumerate, lock
+/// everything related, evaluate *while holding the locks*, then replace. A
+/// conflict discards everything the attempt computed — a retry recomputes
+/// enumeration and evaluation from scratch, exactly the waste the paper's
+/// Fig. 2 charges this scheme.
+fn combined(r: &Round<'_>, owner: u32, n: NodeId) -> Result<Attempt, AigError> {
+    let sess = r.sess;
+    let (shared, store, ctx) = (&sess.shared, &sess.store, &sess.ctx);
+    if !shared.is_and(n) || shared.refs(n) == 0 {
+        return Ok(Attempt::Commit);
     }
+
+    // Stage A: cut enumeration (results verified under locks below).
+    let cuts = {
+        let _obs = dacpara_obs::span("enumerate");
+        store.try_cuts(shared, n)
+    };
+    let Some(cuts) = cuts else {
+        return Ok(if shared.is_and(n) {
+            Attempt::Abort
+        } else {
+            Attempt::Commit
+        });
+    };
+
+    // Lock "all related nodes": self, fanouts, every cut's cover and
+    // leaves — acquired *before* evaluation, held throughout, exactly the
+    // scheme whose serialization the paper criticizes. Cuts whose cover
+    // cannot be collected (stale, or larger than the exploration bound
+    // around high-fanout reconvergence) are simply dropped from
+    // consideration — retrying could loop forever on a stable graph.
+    let mut region: Vec<u32> = vec![n.raw()];
+    region.extend(shared.fanout_ids(n).iter().map(|f| f.raw()));
+    let mut usable: Vec<dacpara_cut::Cut> = Vec::with_capacity(cuts.len());
+    for cut in cuts.iter().filter(|c| c.len() >= 2) {
+        if let Some(cover) = cut_cover(shared, n, cut.leaves()) {
+            region.extend(cover.iter().map(|c| c.raw()));
+            region.extend(cut.leaves().iter().map(|l| l.raw()));
+            usable.push(*cut);
+        }
+    }
+    if usable.is_empty() {
+        return Ok(Attempt::Commit);
+    }
+    let Some(guard) = sess.locks.try_acquire(owner, region) else {
+        return Ok(Attempt::Abort);
+    };
+
+    // Under locks: keep only cuts whose function is confirmed on the live
+    // graph (stale enumerations are dropped, not misapplied).
+    let valid_cuts: Vec<_> = usable
+        .iter()
+        .filter(|c| matches!(verify_cut(shared, n, c.leaves()), Some((_, tt)) if tt == c.tt()))
+        .copied()
+        .collect();
+
+    // Stage B: evaluation while holding every lock.
+    let cand = {
+        let _obs = dacpara_obs::span("evaluate");
+        r.counters.evaluations.fetch_add(1, Ordering::Relaxed);
+        evaluate_node(shared, n, &valid_cuts, ctx)
+    };
+    let Some(cand) = cand else {
+        return Ok(Attempt::Commit);
+    };
+    let re = reevaluate_structure(shared, n, &cand, ctx);
+    if !(re.gain > 0 || (ctx.use_zeros && re.gain >= 0)) {
+        return Ok(Attempt::Commit);
+    }
+
+    // Stage C: replacement. A phase-2 conflict here loses everything —
+    // enumeration AND evaluation.
+    let _obs = dacpara_obs::span("replace");
+    r.apply(owner, n, &cand, &re, guard)
 }
 
 #[cfg(test)]

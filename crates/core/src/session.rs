@@ -243,8 +243,9 @@ impl RewriteSession {
     /// caller must propagate: the fault is either not recoverable, over its
     /// budget, or the salvaged graph failed validation.
     ///
-    /// `newly_committed` is the number of replacements committed since the
-    /// last salvage point; it feeds [`RewriteStats::salvaged_commits`].
+    /// `newly_committed` is the number of replacements the failing run
+    /// committed since it started or since the last salvage point,
+    /// whichever is later; it feeds [`RewriteStats::salvaged_commits`].
     pub(crate) fn recover(
         &mut self,
         err: AigError,

@@ -38,7 +38,7 @@ pub struct RewriteStats {
     /// Speculative-execution counters (conflicts/aborts/wasted work).
     pub spec: SpecSnapshot,
     /// Work-stealing scheduler counters (steals/retries/retry-commits).
-    /// All-zero under the barrier scheduler and on serial engines.
+    /// All-zero on the engines that do not run on the Galois runtime.
     pub sched: SchedSnapshot,
     /// Number of level worklists processed (DACPara only).
     pub worklists: usize,

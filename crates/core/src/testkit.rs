@@ -2,16 +2,16 @@
 //!
 //! The differential suite (`tests/engines_differential.rs`), the recovery
 //! suite and the `dacpara-fuzz` oracle all sweep the same space: every
-//! parallel engine, under one or both worklist schedulers, across thread
-//! counts, with the result checked for equivalence against the input and
-//! for area against a serial baseline. This module is the single home for
-//! that sweep so the fuzzer exercises exactly the configurations the test
-//! suites pin down — a divergence found by one is replayable by the other.
+//! parallel engine across thread counts, with the result checked for
+//! equivalence against the input and for area against a serial baseline.
+//! This module is the single home for that sweep so the fuzzer exercises
+//! exactly the configurations the test suites pin down — a divergence
+//! found by one is replayable by the other.
 
 use dacpara_aig::{Aig, AigRead};
 use dacpara_equiv::{check_equivalence_budgeted, CecBudget, CecResult};
 
-use crate::{run_engine, Engine, RewriteConfig, SchedulerKind};
+use crate::{run_engine, Engine, RewriteConfig};
 
 /// The five parallel engines (everything except the serial baseline).
 pub const PARALLEL_ENGINES: [Engine; 5] = [
@@ -21,10 +21,6 @@ pub const PARALLEL_ENGINES: [Engine; 5] = [
     Engine::DacPara,
     Engine::Partition,
 ];
-
-/// The engines driven by the Galois runtime, i.e. the ones for which the
-/// worklist scheduler choice ([`SchedulerKind`]) changes execution.
-pub const GALOIS_ENGINES: [Engine; 2] = [Engine::DacPara, Engine::Iccad18];
 
 /// The engine's paper configuration: the GPU emulations use the `drw`
 /// setup, everything else the ABC `rewrite` operator setup.
@@ -54,13 +50,11 @@ pub fn baseline_slack(engine: Engine, area_before: usize, serial_after: usize) -
     }
 }
 
-/// One cell of the engine matrix: an engine, a scheduler and a thread count.
+/// One cell of the engine matrix: an engine and a thread count.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct MatrixPoint {
     /// The rewriting engine under test.
     pub engine: Engine,
-    /// Worklist scheduler (only observable on [`GALOIS_ENGINES`]).
-    pub scheduler: SchedulerKind,
     /// Worker thread count.
     pub threads: usize,
 }
@@ -68,15 +62,13 @@ pub struct MatrixPoint {
 impl MatrixPoint {
     /// The paper configuration for this cell.
     pub fn cfg(&self) -> RewriteConfig {
-        base_cfg(self.engine)
-            .with_threads(self.threads)
-            .with_scheduler(self.scheduler)
+        base_cfg(self.engine).with_threads(self.threads)
     }
 
     /// Stable human-readable label (used in failure reports and corpus
-    /// entries), e.g. `dacpara/steal/x4`.
+    /// entries), e.g. `dacpara/x4`.
     pub fn label(&self) -> String {
-        format!("{}/{}/x{}", self.engine, self.scheduler, self.threads)
+        format!("{}/x{}", self.engine, self.threads)
     }
 }
 
@@ -87,27 +79,16 @@ impl std::fmt::Display for MatrixPoint {
 }
 
 /// The full differential sweep: every engine in [`PARALLEL_ENGINES`] at
-/// each of `threads`, with both schedulers for the [`GALOIS_ENGINES`] and
-/// the default ([`SchedulerKind::Steal`]) for the rest.
+/// each of `threads`.
 pub fn engine_matrix(threads: &[usize]) -> Vec<MatrixPoint> {
-    let mut points = Vec::new();
-    for engine in PARALLEL_ENGINES {
-        let schedulers: &[SchedulerKind] = if GALOIS_ENGINES.contains(&engine) {
-            &[SchedulerKind::Steal, SchedulerKind::Barrier]
-        } else {
-            &[SchedulerKind::Steal]
-        };
-        for &scheduler in schedulers {
-            for &threads in threads {
-                points.push(MatrixPoint {
-                    engine,
-                    scheduler,
-                    threads,
-                });
-            }
-        }
-    }
-    points
+    PARALLEL_ENGINES
+        .into_iter()
+        .flat_map(|engine| {
+            threads
+                .iter()
+                .map(move |&threads| MatrixPoint { engine, threads })
+        })
+        .collect()
 }
 
 /// Verdict of [`run_matrix_point`].
@@ -168,14 +149,11 @@ mod tests {
     use dacpara_circuits::arith;
 
     #[test]
-    fn matrix_covers_both_schedulers_for_galois_engines() {
+    fn matrix_covers_every_engine_at_every_thread_count() {
         let points = engine_matrix(&[1, 2, 4]);
-        // 2 Galois engines x 2 schedulers x 3 + 3 other engines x 1 x 3.
-        assert_eq!(points.len(), 2 * 2 * 3 + 3 * 3);
-        for engine in GALOIS_ENGINES {
-            assert!(points
-                .iter()
-                .any(|p| p.engine == engine && p.scheduler == SchedulerKind::Barrier));
+        assert_eq!(points.len(), PARALLEL_ENGINES.len() * 3);
+        for engine in PARALLEL_ENGINES {
+            assert!(points.iter().any(|p| p.engine == engine && p.threads == 4));
         }
     }
 
@@ -184,7 +162,6 @@ mod tests {
         let golden = arith::multiplier(4);
         let point = MatrixPoint {
             engine: Engine::DacPara,
-            scheduler: SchedulerKind::Steal,
             threads: 2,
         };
         match run_matrix_point(&golden, &point, &CecBudget::default()) {
@@ -193,6 +170,6 @@ mod tests {
             }
             other => panic!("expected a pass, got {other:?}"),
         }
-        assert_eq!(point.label(), "dacpara/steal/x2");
+        assert_eq!(point.label(), "dacpara/x2");
     }
 }

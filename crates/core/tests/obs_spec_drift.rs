@@ -67,6 +67,9 @@ fn spec_stats_match_obs_events() {
     assert_eq!(stats.sched.retries, counter("sched.retries"));
     assert_eq!(stats.sched.retry_commits, counter("sched.retry_commits"));
 
+    // 1c. The engine-level counters come from the shared pass driver.
+    assert_eq!(stats.evaluations, counter("rewrite.evaluations"));
+
     // 2. ... vs. the per-thread instant events in the exported trace.
     let trace = dacpara_obs::chrome_trace_to_string();
     let instants = |name: &str| {
@@ -87,6 +90,7 @@ fn spec_stats_match_obs_events() {
     };
     assert_eq!(stats.spec.commits, histo_count("galois.commit_latency_ns"));
     assert_eq!(stats.spec.aborts, histo_count("galois.abort_latency_ns"));
+    assert_eq!(stats.replacements, histo_count("rewrite.replacement_gain"));
 
     // The three pipeline stages must show up on at least two worker lanes —
     // i.e. the trace really exposes the parallel structure.
@@ -175,4 +179,23 @@ fn spec_stats_match_obs_events() {
         delta(3),
         "pass.errors_observed drift"
     );
+
+    // 6. ICCAD'18 runs on the same driver, so it emits the same
+    // engine-level counters. A fresh registry isolates its run.
+    dacpara_obs::reset();
+    dacpara_obs::enable();
+    let mut aig = mtm(&MtmParams {
+        inputs: 40,
+        gates: 4_000,
+        outputs: 16,
+        seed: 7,
+    });
+    let iccad = run_engine(&mut aig, Engine::Iccad18, &cfg).expect("iccad18 run");
+    dacpara_obs::disable();
+    assert!(iccad.evaluations > 0, "the run must evaluate: {iccad}");
+    assert_eq!(iccad.evaluations, counter("rewrite.evaluations"));
+    assert_eq!(iccad.replacements, histo_count("rewrite.replacement_gain"));
+    assert_eq!(iccad.spec.attempts, counter("galois.attempts"));
+    assert_eq!(iccad.spec.commits, counter("galois.commits"));
+    assert_eq!(iccad.spec.aborts, counter("galois.aborts"));
 }

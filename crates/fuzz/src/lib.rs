@@ -9,8 +9,8 @@
 //! * [`mutate`] — structurally-valid-by-construction mutations over
 //!   existing AIGs (edge retarget, complement flip, function-preserving
 //!   node duplication, cone swap),
-//! * [`oracle`] — the differential oracle: every engine × scheduler ×
-//!   thread count, cross-checked with budgeted CEC and the structural
+//! * [`oracle`] — the differential oracle: every engine × thread
+//!   count, cross-checked with budgeted CEC and the structural
 //!   invariant checker, optionally under `dacpara-fault` injection,
 //! * [`shrink`] — a delta-debugging minimizer that keeps a failure alive
 //!   while the circuit shrinks (cone removal, node bypass, input merging),

@@ -1,7 +1,7 @@
 //! The differential oracle: one circuit, every engine configuration.
 //!
 //! A circuit passes when every cell of the engine matrix — engine ×
-//! scheduler × thread count — returns successfully, keeps the structural
+//! thread count — returns successfully, keeps the structural
 //! invariants and stays functionally equivalent to the input under budgeted
 //! CEC. Optionally the whole sweep runs under a `dacpara-fault` injection
 //! plan, in which case clean engine *errors* are expected behaviour (that

@@ -1,14 +1,15 @@
 //! The fuzzer's headline self-test: the loop must close on a real bug.
 //!
-//! With the `inject-drain-bug` feature compiled in, the engine crate
-//! re-introduces a variant of the PR 4 steal-scheduler drain bug (a drained
-//! steal round mis-associates a node with its worklist neighbour's stored
-//! candidate and commits it without revalidation). This suite then demands
-//! the full tool chain earns its keep:
+//! With the `inject-drain-bug` feature compiled in, the DACPara engine
+//! re-introduces a variant of a historical steal-scheduler drain bug (its
+//! replacement stage mis-associates a node with its worklist neighbour's
+//! stored candidate and commits it without revalidation). This suite then
+//! demands the full tool chain earns its keep:
 //!
 //! * `fuzz_run` rediscovers the bug within a bounded seed budget,
-//! * every conviction names the steal scheduler (the barrier scheduler
-//!   never drains, so a differential fuzzer must keep it green),
+//! * every conviction names the DACPara engine (the bug lives in its
+//!   replacement stage, so a differential fuzzer must keep every other
+//!   engine green),
 //! * the delta-debugging shrinker drives the witness below 60 AND nodes,
 //! * the shrunk witness round-trips through the corpus format and replays.
 //!
@@ -20,7 +21,7 @@
 #[cfg(feature = "inject-drain-bug")]
 mod gate_on {
     use dacpara::testkit::{engine_matrix, MatrixPoint};
-    use dacpara::SchedulerKind;
+    use dacpara::Engine;
     use dacpara_aig::AigRead;
     use dacpara_fuzz::corpus::{replay, CorpusEntry, ReplayOutcome};
     use dacpara_fuzz::gen::GenConfig;
@@ -57,14 +58,14 @@ mod gate_on {
             )
         });
 
-        // The bug lives in the steal pool's drain path; a differential
-        // fuzzer that convicted a barrier cell would be misattributing.
+        // The bug lives in DACPara's replacement stage; a differential
+        // fuzzer that convicted another engine would be misattributing.
         assert!(!case.failures.is_empty());
         for failure in &case.failures {
             assert_eq!(
-                failure.point.scheduler,
-                SchedulerKind::Steal,
-                "only steal cells may fail, got {failure}"
+                failure.point.engine,
+                Engine::DacPara,
+                "only dacpara cells may fail, got {failure}"
             );
         }
 
@@ -127,18 +128,19 @@ mod gate_on {
     }
 
     #[test]
-    fn barrier_scheduler_stays_green_under_the_injected_bug() {
-        // The differential half of the self-test: the bug is in the steal
-        // pool's drain protocol, and the barrier scheduler never drains.
-        // Sweep barrier-only cells over a batch of circuits and demand
-        // total silence — this is what localizes the bug to a scheduler.
-        let barrier_only: Vec<MatrixPoint> = engine_matrix(&[1, 2, 4])
+    fn non_dacpara_cells_stay_green_under_the_injected_bug() {
+        // The differential half of the self-test: the bug is in DACPara's
+        // replacement stage, and every other engine shares the build it is
+        // compiled into. Sweep the other engines' cells over a batch of
+        // circuits and demand total silence — this is what localizes the
+        // bug to one engine.
+        let others: Vec<MatrixPoint> = engine_matrix(&[1, 2, 4])
             .into_iter()
-            .filter(|p| p.scheduler == SchedulerKind::Barrier)
+            .filter(|p| p.engine != Engine::DacPara)
             .collect();
-        assert!(!barrier_only.is_empty());
+        assert!(!others.is_empty());
         let cfg = OracleConfig {
-            points: barrier_only,
+            points: others,
             ..OracleConfig::default()
         };
         for iter in 0..10u64 {
@@ -147,7 +149,7 @@ mod gate_on {
             let failures = check_circuit(&golden, &cfg);
             assert!(
                 failures.is_empty(),
-                "barrier cells must stay green (seed {seed}): {:?}",
+                "non-dacpara cells must stay green (seed {seed}): {:?}",
                 failures.iter().map(|f| f.to_string()).collect::<Vec<_>>()
             );
         }

@@ -1,11 +1,11 @@
 //! Work-stealing scheduler with in-round conflict retry.
 //!
-//! The barrier engines distribute a worklist through [`crate::WorkQueue`]:
-//! workers grab fixed-size chunks from a shared atomic cursor, and a node
-//! whose speculative commit keeps hitting lock conflicts pins its worker in
-//! a spin-retry loop — the serialization-by-conflict waste that "Parallel
-//! AIG Refactoring via Conflict Breaking" identifies as the dominant loss
-//! in parallel AIG optimization. [`StealPool`] replaces that scheme:
+//! A shared-cursor worklist ([`crate::WorkQueue`]) hands out fixed-size
+//! chunks, and a node whose speculative commit keeps hitting lock conflicts
+//! pins its worker in a spin-retry loop — the serialization-by-conflict
+//! waste that "Parallel AIG Refactoring via Conflict Breaking" identifies as
+//! the dominant loss in parallel AIG optimization. The speculative engines
+//! therefore run on [`StealPool`]:
 //!
 //! * **Per-worker Chase-Lev deques** ([`crate::StealDeque`]). Each worker
 //!   seeds its own deque with one contiguous block of the worklist; idle
@@ -101,8 +101,8 @@ impl SchedStats {
         }
     }
 
-    /// Records an activity that committed on a retried item — work the
-    /// barrier scheduler would have spun on (or lost until the next pass).
+    /// Records an activity that committed on a retried item — work a
+    /// spin-retry scheduler would have pinned its worker on.
     pub fn record_retry_commit(&self) {
         self.retry_commits.fetch_add(1, Ordering::Relaxed);
         if dacpara_obs::is_enabled() {

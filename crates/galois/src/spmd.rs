@@ -97,34 +97,20 @@ where
 }
 
 /// A shared index dispenser for dynamic load balancing: workers repeatedly
-/// grab disjoint chunks of `0..len` until it is drained.
-///
-/// Reset it (from the barrier leader) before reusing for the next worklist.
+/// grab disjoint chunks of `0..len` until it is drained. One queue serves
+/// one worklist.
 #[derive(Debug)]
 pub struct WorkQueue {
     next: AtomicUsize,
-    len: AtomicUsize,
-    /// Debug guard: consecutive drained polls since the last reset. In the
-    /// barrier engines every worker observes drainage exactly once per
-    /// round, so a large count means a round started without `reset` — the
-    /// new worklist is being silently skipped.
-    #[cfg(debug_assertions)]
-    drained_polls: AtomicUsize,
+    len: usize,
 }
-
-/// Debug ceiling on drained [`WorkQueue::next_chunk`] polls between resets
-/// (far above any legitimate team size).
-#[cfg(debug_assertions)]
-const DRAINED_POLL_LIMIT: usize = 1024;
 
 impl WorkQueue {
     /// Creates a dispenser over `0..len`.
     pub fn new(len: usize) -> WorkQueue {
         WorkQueue {
             next: AtomicUsize::new(0),
-            len: AtomicUsize::new(len),
-            #[cfg(debug_assertions)]
-            drained_polls: AtomicUsize::new(0),
+            len,
         }
     }
 
@@ -133,35 +119,11 @@ impl WorkQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `chunk` is zero. Panics (debug) after [`DRAINED_POLL_LIMIT`]
-    /// consecutive drained polls — the signature of reusing a spent queue
-    /// without [`WorkQueue::reset`].
+    /// Panics if `chunk` is zero.
     pub fn next_chunk(&self, chunk: usize) -> Option<Range<usize>> {
         assert!(chunk > 0);
-        let len = self.len.load(Ordering::Relaxed);
         let start = self.next.fetch_add(chunk, Ordering::Relaxed);
-        if start >= len {
-            #[cfg(debug_assertions)]
-            {
-                let polls = self.drained_polls.fetch_add(1, Ordering::Relaxed);
-                debug_assert!(
-                    polls < DRAINED_POLL_LIMIT,
-                    "WorkQueue drained {polls} consecutive times — missing reset() between rounds?"
-                );
-            }
-            None
-        } else {
-            Some(start..(start + chunk).min(len))
-        }
-    }
-
-    /// Re-arms the dispenser over `0..len`. Only call while no worker is
-    /// pulling (i.e. from the barrier leader between stages).
-    pub fn reset(&self, len: usize) {
-        self.len.store(len, Ordering::Relaxed);
-        self.next.store(0, Ordering::Relaxed);
-        #[cfg(debug_assertions)]
-        self.drained_polls.store(0, Ordering::Relaxed);
+        (start < self.len).then(|| start..(start + chunk).min(self.len))
     }
 }
 
@@ -252,15 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_rearms_queue() {
-        let q = WorkQueue::new(3);
-        assert_eq!(q.next_chunk(8), Some(0..3));
-        assert_eq!(q.next_chunk(8), None);
-        q.reset(2);
-        assert_eq!(q.next_chunk(8), Some(0..2));
-    }
-
-    #[test]
     fn single_thread_fast_path() {
         let flag = AtomicUsize::new(0);
         run_spmd(1, |w| {
@@ -307,31 +260,5 @@ mod tests {
     #[should_panic(expected = "zero-thread team")]
     fn chunk_size_rejects_zero_threads_in_debug() {
         let _ = chunk_size(100, 0);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "missing reset()")]
-    fn reuse_without_reset_panics_in_debug() {
-        let q = WorkQueue::new(4);
-        assert_eq!(q.next_chunk(8), Some(0..4));
-        // A forgotten reset: the queue looks permanently empty. The debug
-        // guard trips once the drained polls exceed any plausible team size.
-        for _ in 0..=DRAINED_POLL_LIMIT {
-            assert_eq!(q.next_chunk(8), None);
-        }
-    }
-
-    #[test]
-    fn reset_clears_the_drained_poll_guard() {
-        let q = WorkQueue::new(2);
-        for round in 0..8 {
-            let mut seen = 0;
-            while let Some(r) = q.next_chunk(1) {
-                seen += r.len();
-            }
-            assert_eq!(seen, 2, "round {round}");
-            q.reset(2);
-        }
     }
 }

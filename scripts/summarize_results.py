@@ -60,11 +60,17 @@ def summarize(results_dir: Path) -> str:
                 f"ICCAD'18 1.96x/1.0056 — time ratios are core-count-bound, "
                 f"see the scaling caveats)"
             )
-        checks = [r.get("equivalent") for r in t2["runs"]]
-        lines.append(
-            f"* **Table 2** equivalence checks: {sum(1 for c in checks if c)} / "
-            f"{len(checks)} passed (every run is checked; a failure aborts the harness)"
+        verdicts = [r.get("verdict") for r in t2["runs"]]
+        counts = {v: verdicts.count(v) for v in ["proven", "undecided", "sim-only"]}
+        unrecorded = len(verdicts) - sum(counts.values())
+        line = (
+            f"* **Table 2** equivalence checks over {len(verdicts)} runs: "
+            f"{counts['proven']} proven, {counts['undecided']} undecided, "
+            f"{counts['sim-only']} sim-only"
         )
+        if unrecorded:
+            line += f", {unrecorded} unverified (recorded before verdicts were kept)"
+        lines.append(line + "; a disproved check aborts the harness")
 
     t3 = load(results_dir, "table3")
     if t3:

@@ -11,7 +11,7 @@
 //!   exhausts it and must recover by salvage + regrowth;
 //! * **injected faults** — `dacpara_fault` plans firing at the arena
 //!   allocator, the speculative lock table, and the replacement operators,
-//!   swept over ≥16 seeds across thread counts, schedulers, and engines;
+//!   swept over ≥16 seeds across thread counts and engines;
 //! * **panic budgets** — a persistently panicking operator must surface as
 //!   `AigError::WorkerPanicked` once the recovery budget is exhausted,
 //!   never as a process abort or a hung scope join.
@@ -26,7 +26,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::Duration;
 
-use dacpara::{run_engine, Engine, RewriteConfig, RewriteStats, SchedulerKind};
+use dacpara::{run_engine, Engine, RewriteConfig, RewriteStats};
 use dacpara_aig::{Aig, AigError, AigRead};
 use dacpara_circuits::{full_suite, Benchmark, Scale};
 use dacpara_equiv::{check_equivalence, random_sim_check, CecConfig, CecResult, SimOutcome};
@@ -151,8 +151,7 @@ fn assert_recovered_ok(bench: &Benchmark, aig: &Aig, stats: &RewriteStats, label
 
 /// Tentpole acceptance: at `headroom: 1.0` (arena sized to the live graph
 /// plus fixed slack) with the default regrowth budget, both concurrent
-/// engines complete every test-scale circuit under both schedulers at
-/// 1/2/4 threads with zero `Err` and stay CEC-equivalent.
+/// engines complete every test-scale circuit at 1/2/4 threads with zero `Err` and stay CEC-equivalent.
 ///
 /// Because the arena reuses freed slots and rewriting only shrinks the
 /// graph, a live-sized arena normally never exhausts — the transient
@@ -167,46 +166,42 @@ fn minimal_headroom_completes_every_circuit_via_regrowth() {
     let _serial = exclusive();
     for bench in &full_suite(Scale::Test) {
         for engine in [Engine::DacPara, Engine::Iccad18] {
-            for sched in [SchedulerKind::Steal, SchedulerKind::Barrier] {
-                for threads in [1, 2, 4] {
-                    eprintln!("[recov] {} {engine} {sched} x{threads}", bench.name);
-                    let cfg = RewriteConfig {
-                        headroom: 1.0,
-                        ..RewriteConfig::rewrite_op()
-                    }
-                    .with_threads(threads)
-                    .with_scheduler(sched);
-                    let max_regrowths = cfg.max_regrowths as u64;
-                    let label = format!("{engine} {sched} x{threads} on {}", bench.name);
-                    let (aig, result) = run_with_watchdog(&label, bench.aig.clone(), engine, cfg);
-                    let stats = result.unwrap_or_else(|e| {
-                        panic!("{label}: recovery did not absorb exhaustion: {e}")
-                    });
-                    assert_recovered_ok(bench, &aig, &stats, &label);
-                    // No panics are injected here, so every recovery is an
-                    // exhaustion regrowth, and the budget bounds them.
-                    assert_eq!(
-                        stats.recoveries,
-                        stats.regrowths,
-                        "{label}: unexplained non-regrowth recovery: {}",
-                        stats.summary()
-                    );
-                    assert!(
-                        stats.regrowths <= max_regrowths,
-                        "{label}: regrowth budget overrun: {}",
-                        stats.summary()
-                    );
+            for threads in [1, 2, 4] {
+                eprintln!("[recov] {} {engine} x{threads}", bench.name);
+                let cfg = RewriteConfig {
+                    headroom: 1.0,
+                    ..RewriteConfig::rewrite_op()
                 }
+                .with_threads(threads);
+                let max_regrowths = cfg.max_regrowths as u64;
+                let label = format!("{engine} x{threads} on {}", bench.name);
+                let (aig, result) = run_with_watchdog(&label, bench.aig.clone(), engine, cfg);
+                let stats = result
+                    .unwrap_or_else(|e| panic!("{label}: recovery did not absorb exhaustion: {e}"));
+                assert_recovered_ok(bench, &aig, &stats, &label);
+                // No panics are injected here, so every recovery is an
+                // exhaustion regrowth, and the budget bounds them.
+                assert_eq!(
+                    stats.recoveries,
+                    stats.regrowths,
+                    "{label}: unexplained non-regrowth recovery: {}",
+                    stats.summary()
+                );
+                assert!(
+                    stats.regrowths <= max_regrowths,
+                    "{label}: regrowth budget overrun: {}",
+                    stats.summary()
+                );
             }
         }
     }
 }
 
 /// Injected-fault sweep: ≥16 seeds spread across all three fault points,
-/// both engines, both schedulers, and 1/2/4 threads, on the largest
-/// test-scale circuit at minimal headroom. Every run must complete
-/// (recovering as needed), stay equivalent, and never hang; across the
-/// sweep every fault point must actually fire.
+/// both engines and 1/2/4 threads, on the largest test-scale circuit at
+/// minimal headroom. Every run must complete (recovering as needed), stay
+/// equivalent, and never hang; across the sweep every fault point must
+/// actually fire.
 #[test]
 fn injected_faults_never_hang_or_break_equivalence() {
     let _serial = exclusive();
@@ -229,11 +224,6 @@ fn injected_faults_never_hang_or_break_equivalence() {
     for seed in 0..16u64 {
         let spec = SPECS[(seed % 4) as usize];
         let threads = [1, 2, 4][(seed % 3) as usize];
-        let sched = if seed % 2 == 0 {
-            SchedulerKind::Steal
-        } else {
-            SchedulerKind::Barrier
-        };
         let engine = if (seed / 2) % 2 == 0 {
             Engine::DacPara
         } else {
@@ -247,12 +237,8 @@ fn injected_faults_never_hang_or_break_equivalence() {
             max_regrowths: 8,
             ..RewriteConfig::rewrite_op()
         }
-        .with_threads(threads)
-        .with_scheduler(sched);
-        let label = format!(
-            "seed {seed} [{spec}] {engine} {sched} x{threads} on {}",
-            bench.name
-        );
+        .with_threads(threads);
+        let label = format!("seed {seed} [{spec}] {engine} x{threads} on {}", bench.name);
         eprintln!("[recov] {label}");
         let plan = FaultPlan::parse(spec, seed).expect("valid sweep spec");
         let injection = dacpara_fault::inject(&plan);
@@ -338,6 +324,63 @@ fn contained_panic_is_recovered_and_validated() {
         assert!(
             stats.recoveries > stats.regrowths,
             "{label}: no panic recovery was recorded: {}",
+            stats.summary()
+        );
+    }
+}
+
+/// A recovery credits only the commits of the run that failed. With
+/// `runs: 2` on one worker, a panic injected just past the first run's
+/// operator hits fails the second run; the first run had already
+/// completed, so none of its replacements count as salvaged.
+#[test]
+fn salvage_credits_only_the_failing_runs_commits() {
+    let _serial = exclusive();
+    silence_injected_panics();
+    let suite = full_suite(Scale::Test);
+    let bench = suite
+        .iter()
+        .max_by_key(|b| b.aig.num_ands())
+        .expect("non-empty suite");
+    for engine in [Engine::DacPara, Engine::Iccad18] {
+        let label = format!("salvage {engine} on {}", bench.name);
+        eprintln!("[recov] {label}");
+        let cfg = RewriteConfig::rewrite_op().with_threads(1);
+        // A firing cap of zero counts operator hits without firing.
+        let probe = FaultPlan::parse("operator.panic=@1*0", 0).expect("valid spec");
+        let (first_hits, first) = {
+            let injection = dacpara_fault::inject(&probe);
+            let (_, result) = run_with_watchdog(&label, bench.aig.clone(), engine, cfg.clone());
+            let first = result.unwrap_or_else(|e| panic!("{label}: fault-free run failed: {e}"));
+            (injection.hits(points::OPERATOR_PANIC), first)
+        };
+        assert!(
+            first.replacements > 0,
+            "{label}: the first run must rewrite"
+        );
+
+        let spec = format!("operator.panic=@{}*1", first_hits + 1);
+        let plan = FaultPlan::parse(&spec, 0).expect("valid spec");
+        let injection = dacpara_fault::inject(&plan);
+        let two_runs = RewriteConfig { runs: 2, ..cfg };
+        let (aig, result) = run_with_watchdog(&label, bench.aig.clone(), engine, two_runs);
+        assert_eq!(
+            injection.fired(points::OPERATOR_PANIC),
+            1,
+            "{label}: the second run must reach the injected panic"
+        );
+        drop(injection);
+        let stats = result.unwrap_or_else(|e| panic!("{label}: panic was not recovered: {e}"));
+        assert_recovered_ok(bench, &aig, &stats, &label);
+        assert!(
+            stats.recoveries > stats.regrowths,
+            "{label}: no panic recovery was recorded: {}",
+            stats.summary()
+        );
+        assert!(
+            stats.salvaged_commits <= stats.replacements.saturating_sub(first.replacements),
+            "{label}: salvage credited the completed first run ({} replacements): {}",
+            first.replacements,
             stats.summary()
         );
     }
